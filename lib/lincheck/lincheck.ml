@@ -627,10 +627,10 @@ module Make (S : Spec.S) = struct
   let kid_slots ~slots enabled =
     if slots = 0 || enabled = [] then [||] else Array.make slots no_node
 
-  let info_of_world ~fp ~slots (w : (S.op, S.resp) Sim.t) =
+  (* [enabled] is [Sim.enabled w], possibly an interned copy. *)
+  let info_of_world ~fp ~slots ~enabled (w : (S.op, S.resp) Sim.t) =
     let trace = Sim.trace w in
     let arr, pred = build_masks (History.of_trace trace) in
-    let enabled = Sim.enabled w in
     {
       rec_arr = arr;
       pred;
@@ -661,9 +661,9 @@ module Make (S : Spec.S) = struct
      O(trace * n + n^2) per node.  A delta without invocations shares
      the parent's [pred]; one without history events shares every
      array.  [fp] is the child's fingerprint, already folded by the
-     caller; [slots] sizes the child's [kids]. *)
-  let extend_info ~fp ~slots (parent : node_info) (w : (S.op, S.resp) Sim.t) =
-    let enabled = Sim.enabled w in
+     caller; [slots] sizes the child's [kids]; [enabled] is
+     [Sim.enabled w], possibly an interned copy. *)
+  let extend_info ~fp ~slots ~enabled (parent : node_info) (w : (S.op, S.resp) Sim.t) =
     let trace_len = Sim.trace_len w in
     let kids = kid_slots ~slots enabled in
     let n0 = Array.length parent.rec_arr in
@@ -958,8 +958,11 @@ module Make (S : Spec.S) = struct
      walk of one worker that never discards a link, so the crash game
      runs at one worker with no reduction, preemption bound or
      checkpoint, the root keeps its columns' subtrees, and a missing
-     twin raises.  Only an anchor replays a path with crashes.  Its
-     worlds boot uncounted, so crash games add no [world.boot]. *)
+     twin raises.  Only an anchor needs a world on a path with crashes;
+     it is built like any off-spine world, usually from the snapshot of
+     an ancestor (a crash child of an anchored node is its parent's
+     snapshot with one [Sim.crash]).  Crash games count no
+     [world.boot]. *)
   let game ~crashes ?(max_nodes = 200_000) ?max_depth ?budget_ms ?budget_heap_mb ?on_progress
       ?(progress_every = 10_000) ?(progress_every_ms = 1000) ?tracer ?profiler ?coverage
       ?(jobs = 1) ?(steal_grain = 4) ?(checkpoint_stride = 16) ?interrupt ?checkpointing
@@ -1046,6 +1049,7 @@ module Make (S : Spec.S) = struct
        when the run returns. *)
     let auto = Sim.automaton prog in
     let boot () = Sim.boot_cached ~count_boot auto in
+    let apply w m = if m < procs then Sim.step w m else Sim.crash w (m - procs) in
     (* [Sim.replay] of a move list, with a crash between runs of steps. *)
     let replay w moves =
       let rec go rev_steps = function
@@ -1057,6 +1061,29 @@ module Make (S : Spec.S) = struct
         | [] -> Sim.replay w (List.rev rev_steps)
       in
       if crashes > 0 then go [] moves else Sim.replay w moves
+    in
+    (* One shared [enabled] list per enabled-process mask: every node
+       keeps its enabled set for the whole run, and a run meets only a
+       few masks.  Filled lazily; two domains racing on a slot store
+       equal immutable lists, and either is right. *)
+    let intern_enabled =
+      if procs > 12 then Fun.id
+      else
+        let table = Array.make (1 lsl procs) [] in
+        function
+        | [] -> []
+        | l -> (
+            let m = List.fold_left (fun m p -> m lor (1 lsl p)) 0 l in
+            match Array.unsafe_get table m with
+            | [] ->
+                table.(m) <- l;
+                l
+            | shared -> shared)
+    in
+    (* Whether some anchor depth lies below [depth], within the tree. *)
+    let anchor_below depth =
+      let next = ((depth / stride) + 1) * stride in
+      match max_depth with Some d -> next <= d | None -> true
     in
     let rec run ~nworkers =
       (* Heartbeat: only worker 0 beats, on its own fresh-node and
@@ -1108,7 +1135,9 @@ module Make (S : Spec.S) = struct
           (match merge_lane with Some l -> Prof.fresh l ~depth:0 | None -> ());
           let w0 = boot () in
           (* The root's [kids] exist before any column is seeded. *)
-          let root_info = info_of_world ~fp:reduce ~slots:(slots_at 0) w0 in
+          let root_info =
+            info_of_world ~fp:reduce ~slots:(slots_at 0) ~enabled:(intern_enabled (Sim.enabled w0)) w0
+          in
           anchor merge_lane root_info w0;
           let columns =
             match max_depth with Some d when d <= 0 -> [] | _ -> moves root_info.enabled []
@@ -1215,8 +1244,8 @@ module Make (S : Spec.S) = struct
       let grain = if nworkers = 1 || reduce || ckpt then 0 else steal_grain in
       (* Run one subtree as the current task on [worker]: returns its
          outcome, counters and child links; never raises [Task_stop]. *)
-      let rec run_subtree ~spine ~worker ~col ~guards path0 depth0 switches0 parent0 twin0 crashed0
-          lin0 states0 lid0 =
+      let rec run_subtree ~spine ~base ~worker ~col ~guards path0 depth0 switches0 parent0 twin0
+          crashed0 lin0 states0 lid0 =
         let k = Counters.create () in
         (* Only a kid task can be discarded, so only a kid task logs the
            links it creates ([own]) and keeps its counted kids' logs. *)
@@ -1284,35 +1313,79 @@ module Make (S : Spec.S) = struct
               if i > Atomic.get g.g_failed then raise (Task_stop T_aborted))
             guards
         in
-        (* Spine world: the live world of the most recently evaluated
-           fresh node.  Descending to that node's first fresh child is
-           one [Sim.step]; any other fresh node is a full replay from a
-           world booted off the run's response automaton, where a step
-           is one transition plus a cached edge and no fiber runs unless
-           the edge is missing.  Worlds are not kept as values (ROADMAP
-           item 5 step 4), so this single mutable spine is the only
-           execution reuse.  A [spine] handed in sits at the root.  A
-           replaced spine, and the last one when the task ends, is
-           released ([Sim.release]). *)
+        (* Worlds.  The spine ([ev_world], at [ev_path]) is the live world
+           of the most recently evaluated fresh node, and descending to
+           its child is one move in place.  A [spine] handed in sits at
+           the root.  Before the spine leaves a node of this task for one
+           child while another child that will need a world is still
+           unevaluated, a copy of the node's world goes on [snaps]: a
+           stack of (depth, path, world), deepest first, each a proper
+           ancestor of the spine.  Any other fresh node is a copy of its
+           deepest ancestor on [snaps] plus the moves below it, usually
+           one; where none matches (a column's start, a kid task whose
+           fork point had no world, re-walked speculation), a world
+           booted off the run's response automaton and replayed from the
+           root.  Either way a world built off the spine counts one
+           [world.boot].  Entries deeper than the one used belong to
+           subtrees the spine has left and are dropped.  Entries are only
+           ever copied, never stepped, so the [base] a fork point hands
+           in (the world at [path0]'s parent) is shared with the sibling
+           tasks.  Cached worlds hold no fiber, so a dropped world needs
+           no [Sim.release]. *)
         let ev_world : (S.op, S.resp) Sim.t option ref = ref spine in
         let ev_path : int list ref = ref [] in
-        let world_at path =
-          match (path, !ev_world) with
+        let snaps = ref (Option.to_list base) in
+        (* Only nodes at or below [path0] count: the slots of the node
+           above are filled by sibling tasks, concurrently, so reading
+           them would make the choice depend on timing. *)
+        let wants_snapshot (node : node_info) m depth ncrashed =
+          let open_slot q = q <> m && node.kids.(q) == no_node in
+          depth >= depth0
+          && Array.length node.kids > 0
+          && (List.exists open_slot node.enabled
+             || ncrashed < crashes
+                && anchor_below depth
+                && List.exists (fun q -> open_slot (procs + q)) node.enabled)
+        in
+        let rebuild path depth =
+          let rec find tl td moves = function
+            | [] -> None
+            | ((d, sp, sw) :: rest) as stack ->
+                if d > td then find tl td moves rest
+                else if d < td then find (List.tl tl) (td - 1) (List.hd tl :: moves) stack
+                else if sp == tl then Some (stack, sw, moves)
+                else find tl td moves rest
+          in
+          match find (List.tl path) (depth - 1) [ List.hd path ] !snaps with
+          | Some (stack, sw, moves) ->
+              snaps := stack;
+              let w = Sim.copy ~count_boot sw in
+              replay w moves;
+              w
+          | None ->
+              snaps := [];
+              let w = boot () in
+              replay w (List.rev path);
+              w
+        in
+        (* The world at [path] (at [depth], below [parent], crashing
+           [crashed]), which becomes the spine. *)
+        let world_at path depth (parent : node_info) crashed =
+          match !ev_world with
           (* Same node re-requested (the reduction layer probes the world
              for its fingerprint before deciding whether to explore): the
              spine already sits there. *)
-          | p, Some w when p == !ev_path -> w
-          (* The next node below the spine.  Never a crash: a crash child
-             needs a world only at an anchor depth, where its parent's
-             first step child, solved before it, has moved the spine. *)
-          | p :: tl, Some w when tl == !ev_path ->
-              Sim.step w p;
+          | Some w when path == !ev_path -> w
+          | Some w when List.tl path == !ev_path ->
+              let m = List.hd path in
+              let ncrashed = List.length crashed - if m >= procs then 1 else 0 in
+              if wants_snapshot parent m (depth - 1) ncrashed then
+                snaps := (depth - 1, !ev_path, Sim.copy w) :: !snaps;
+              apply w m;
               ev_path := path;
               w
           | _ ->
-              Option.iter Sim.release !ev_world;
-              let w = boot () in
-              replay w (List.rev path);
+              let w = rebuild path depth in
               ev_world := Some w;
               ev_path := path;
               w
@@ -1340,8 +1413,11 @@ module Make (S : Spec.S) = struct
             tick ~fresh:true ~frontier:k.frontier;
             let info =
               if twin == no_node then begin
-                let w = world_at path in
-                let info = extend_info ~fp ~slots:(slots_at depth) parent w in
+                let w = world_at path depth parent crashed in
+                let info =
+                  extend_info ~fp ~slots:(slots_at depth) ~enabled:(intern_enabled (Sim.enabled w))
+                    parent w
+                in
                 if depth mod stride = 0 then anchor lane info w;
                 (* Coverage is passive: one trace scan per fresh node, and
                    nothing it records feeds back into exploration. *)
@@ -1357,11 +1433,13 @@ module Make (S : Spec.S) = struct
                 info
               end
               else begin
-                let enabled = List.filter (fun q -> not (List.mem q crashed)) twin.enabled in
+                let enabled =
+                  intern_enabled (List.filter (fun q -> not (List.mem q crashed)) twin.enabled)
+                in
                 let kids = kid_slots ~slots:(slots_at depth) enabled in
                 let info = { twin with enabled; kids } in
                 if depth mod stride = 0 then begin
-                  let w = world_at path in
+                  let w = world_at path depth parent crashed in
                   anchor lane info w;
                   if Sim.enabled w <> enabled then
                     invalid_arg "Lincheck: post-crash enabled set diverged from full replay"
@@ -1387,7 +1465,8 @@ module Make (S : Spec.S) = struct
           | Some m -> (
               (* Probe the memo BEFORE registering the node: computing
                  the child's fingerprint costs one [Sim.step] along the
-                 spine (or a read of the parent's [kids] slot), and a hit
+                 spine or from the parent's snapshot (or a read of the
+                 parent's [kids] slot), and a hit
                  answers the whole subtree — the pruned node is never
                  counted, polled, cross-checked or cached, exactly as if
                  the sleep set had suppressed the transition.  A miss
@@ -1396,7 +1475,7 @@ module Make (S : Spec.S) = struct
                 let cached = parent.kids.(List.hd path) in
                 if cached != no_node then cached.fp
                 else
-                  let w = world_at path in
+                  let w = world_at path depth parent crashed in
                   Reduct.fp_feed_list parent.fp (Sim.events_from w ~from:parent.trace_len)
               in
               let mkey = (Reduct.fp_value fp, depth, preempt_state switches path, lid) in
@@ -1517,6 +1596,13 @@ module Make (S : Spec.S) = struct
         and fork_candidates info path depth switches_to kids candidates =
           let kid_arr = Array.of_list kids in
           let nkids = Array.length kid_arr in
+          (* The world at this node, when one is at hand, is every kid
+             task's [base]: this task does not move while its kids run. *)
+          let base =
+            match !ev_world with
+            | Some w when !ev_path == path -> Some (depth, path, w)
+            | _ -> List.find_opt (fun (d, sp, _) -> d = depth && sp == path) !snaps
+          in
           let rec try_candidates evs = function
             | [] ->
                 last_fail := Prof.Kill_futures;
@@ -1533,7 +1619,7 @@ module Make (S : Spec.S) = struct
                   (try
                      let p = kid_arr.(i) in
                      let out, kc, links =
-                       run_subtree ~spine:None ~worker:w ~col
+                       run_subtree ~spine:None ~base ~worker:w ~col
                          ~guards:((group, i) :: guards)
                          (p :: path) (depth + 1) (switches_to p) info no_node [] cand cstates 0
                      in
@@ -1614,7 +1700,6 @@ module Make (S : Spec.S) = struct
           | exception Task_stop o -> o
         in
         (match lane with Some l -> Prof.end_span l | None -> ());
-        Option.iter Sim.release !ev_world;
         (out, k, Links (!own, !counted))
       in
       (* One column, run to completion as a task tree, its counted totals
@@ -1634,7 +1719,7 @@ module Make (S : Spec.S) = struct
              holds no fiber, so any worker may take it. *)
           let spine = if c = 0 then Some w0 else None in
           let out, k, _ =
-            run_subtree ~spine ~worker:w ~col:c ~guards:[] [ p ] 1 0 root_info
+            run_subtree ~spine ~base:None ~worker:w ~col:c ~guards:[] [ p ] 1 0 root_info
               (twin_of root_info no_node p) (crashed_of p []) [] [ S.init ] 0
           in
           (* Crash columns read the step columns' subtrees as twins. *)
@@ -1810,9 +1895,10 @@ module Make (S : Spec.S) = struct
 
     type nonrec node_info = node_info
 
-    let info_of_world w = info_of_world ~fp:false ~slots:0 w
+    let info_of_world w = info_of_world ~fp:false ~slots:0 ~enabled:(Sim.enabled w) w
 
-    let extend_info (parent : node_info) w = extend_info ~fp:parent.fp ~slots:0 parent w
+    let extend_info (parent : node_info) w =
+      extend_info ~fp:parent.fp ~slots:0 ~enabled:(Sim.enabled w) parent w
 
     let cross_check = cross_check
 

@@ -155,6 +155,14 @@ type access = { cell : cell; info : string option; f : Obj.t -> Obj.t * Obj.t }
    used by private worlds only. *)
 type mem = { mid : int; table : (int, Obj.t) Hashtbl.t }
 
+(* A cached world's write-once memories: one persistent map keyed by
+   (memory, key), so a copy of the world shares it. *)
+module Mem_map = Map.Make (struct
+  type t = int * int
+
+  let compare ((m : int), (k : int)) (m', k') = if m = m' then compare k k' else compare m m'
+end)
+
 (* A private process suspends at its next access with [Suspend] and
    applies the access itself once resumed; a driven process hands the
    access, or a lookup, to its driver and waits for the input. *)
@@ -211,10 +219,9 @@ type ('op, 'resp) t = {
   mutable n_objs : int;  (* boot-time objects created so far *)
   mutable n_mems : int;  (* write-once memories created so far *)
   mutable store : Obj.t array;  (* cached worlds: object states by slot *)
-  mutable mems : (int, Obj.t) Hashtbl.t array;  (* cached worlds, made on first publish *)
+  mutable mems : Obj.t Mem_map.t;  (* cached worlds: published values *)
   mutable at : ('op, 'resp) node array;  (* cached worlds: each process's position *)
-  mutable log : int array;  (* cached worlds: steps (p) and crashes (-p-1), in order... *)
-  mutable log_n : int;  (* ...up to here *)
+  mutable log : int list;  (* cached worlds: steps (p) and crashes (-p-1), newest first *)
   mutable out : (int * int * Obj.t) list;  (* drivers: publishes since the last resume *)
 }
 
@@ -255,10 +262,9 @@ let make_world ~n ~kind ~counted =
     n_objs = 0;
     n_mems = 0;
     store = [||];
-    mems = [||];
+    mems = Mem_map.empty;
     at = [||];
-    log = [||];
-    log_n = 0;
+    log = [];
     out = [];
   }
 
@@ -444,17 +450,7 @@ let unwind w p (type a) (k : (a, unit) Effect.Deep.continuation) =
   w.current <- current;
   match w.kind with Driver _ -> Atomic.decr live | Private | Cached _ -> ()
 
-let log_action w a =
-  match w.kind with
-  | Cached _ ->
-      if w.log_n = Array.length w.log then begin
-        let bigger = Array.make (max 32 (2 * w.log_n)) 0 in
-        Array.blit w.log 0 bigger 0 w.log_n;
-        w.log <- bigger
-      end;
-      Array.unsafe_set w.log w.log_n a;
-      w.log_n <- w.log_n + 1
-  | Private | Driver _ -> ()
+let log_action w a = match w.kind with Cached _ -> w.log <- a :: w.log | Private | Driver _ -> ()
 
 let crash w p =
   if p < 0 || p >= w.procs then invalid_arg "Sim.crash: process out of range";
@@ -696,14 +692,10 @@ let cached_state w (c : cell) =
   let v = Array.unsafe_get w.store slot in
   if v == missing then c.state else v
 
-let cached_publish auto w (mid, key, v) =
-  if Array.length w.mems = 0 then
-    w.mems <- Array.init auto.mems_at_boot (fun _ -> Hashtbl.create 16);
-  Hashtbl.replace w.mems.(mid) key v
+let cached_publish w (mid, key, v) = w.mems <- Mem_map.add (mid, key) v w.mems
 
 let cached_lookup w mid key =
-  if Array.length w.mems = 0 then missing
-  else match Hashtbl.find_opt w.mems.(mid) key with Some v -> v | None -> missing
+  match Mem_map.find_opt (mid, key) w.mems with Some v -> v | None -> missing
 
 (* [p] arrives at [node]: emit what it emits there, answer its lookups,
    and leave it at its next access. *)
@@ -715,7 +707,7 @@ let rec emit w = function
 
 let rec enter auto w p node =
   emit w node.events;
-  if node.publishes <> [] then List.iter (cached_publish auto w) node.publishes;
+  if node.publishes <> [] then List.iter (cached_publish w) node.publishes;
   match node.next with
   | Steps_on _ ->
       Array.unsafe_set w.at p node;
@@ -837,6 +829,21 @@ let boot_cached ?(count_boot = true) auto =
   w.at <- Array.make auto.n_procs auto.placeholder;
   w
 
+(* Object states are immutable values and the trace, the memories and
+   the log are persistent, so a copy owns only its arrays. *)
+let copy ?(count_boot = false) w =
+  match w.kind with
+  | Private | Driver _ -> invalid_arg "Sim.copy: the world runs fibers"
+  | Cached _ ->
+      if !Metrics.enabled && count_boot then Metrics.boot ();
+      {
+        w with
+        fibers = Array.copy w.fibers;
+        steps = Array.copy w.steps;
+        store = Array.copy w.store;
+        at = Array.copy w.at;
+      }
+
 let drop auto =
   Mutex.lock auto.lock;
   let all = Hashtbl.fold (fun _ ds acc -> ds :: acc) auto.drivers [] in
@@ -870,18 +877,15 @@ let audit w =
         match
           auto.boot pw;
           (* Runs of steps between crashes replay fused. *)
-          let rec go i run =
-            if i = w.log_n then replay pw (List.rev run)
-            else
-              let a = w.log.(i) in
-              if a >= 0 then go (i + 1) (a :: run)
-              else begin
+          let rec go run = function
+            | [] -> replay pw (List.rev run)
+            | a :: rest when a >= 0 -> go (a :: run) rest
+            | a :: rest ->
                 replay pw (List.rev run);
                 crash pw (-a - 1);
-                go (i + 1) []
-              end
+                go [] rest
           in
-          go 0 []
+          go [] (List.rev w.log)
         with
         | () -> (
             try

@@ -209,7 +209,23 @@ val automaton : ('op, 'resp) program -> ('op, 'resp) automaton
 
 val boot_cached : ?count_boot:bool -> ('op, 'resp) automaton -> ('op, 'resp) t
 (** A world at the program's initial configuration, stepped through the
-    automaton.  Counts a ["world.boot"] unless [count_boot] is false. *)
+    automaton.  Counts a ["world.boot"] unless [count_boot] is false.
+    To reach a configuration that a world already holds, {!copy} it
+    instead of booting and replaying. *)
+
+val copy : ?count_boot:bool -> ('op, 'resp) t -> ('op, 'resp) t
+(** [copy w] is a world in [w]'s configuration that is stepped, crashed
+    and released independently of [w]: the same trace, enabled set,
+    {!steps_of}, {!finished} and object states, and {!audit} replays the
+    same schedule.  It allocates only the per-process arrays and the
+    object store; the trace, the write-once memories and the audit log
+    are persistent and shared.  Counts a ["world.boot"] when
+    [count_boot] is true (default false), for a copy that stands in for
+    a booted world.  [w] is only read, so copies of one world may be made
+    from several domains while no domain steps it.
+    @raise Invalid_argument unless [w] was booted from an automaton (a
+    world with fibers cannot be copied: OCaml continuations are
+    one-shot). *)
 
 val drop : _ automaton -> unit
 (** Discontinue the automaton's driver fibers, freeing their stacks.

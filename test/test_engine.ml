@@ -504,34 +504,48 @@ let test_sweep_jobs_equivalent () =
 
 (* ---------------- response automata ------------------------------------ *)
 
-(* Under [--reduce] the simulator counters, automaton misses included,
-   do not depend on the worker count: the root world holds no fiber, so
-   whichever worker runs column 0 takes it, and the workers share one
-   automaton. *)
-let test_reduce_metrics_jobs name () =
+(* The simulator counters of the game alone on [name], with
+   [slin check]'s 2M-node budget, at [jobs] workers. *)
+let sim_counts name ~jobs ~reduce =
   match Registry.find name with
   | None -> Alcotest.failf "unknown registry object %s" name
   | Some (Registry.Checkable c) ->
       let (module S) = c.spec in
       let module L = Lincheck.Make (S) in
       let prog = Harness.program ~make:c.make ~workload:c.workload in
-      let counts jobs =
-        Sim.Metrics.reset ();
-        Sim.Metrics.enabled := true;
-        Fun.protect
-          ~finally:(fun () ->
-            Sim.Metrics.enabled := false;
-            Sim.Metrics.reset ())
-          (fun () ->
-            ignore
-              (L.check_strong_stats ~max_nodes:2_000_000 ?max_depth:c.default_depth ~jobs
-                 ~reduce:true prog);
-            Sim.Metrics.snapshot ())
-      in
-      let show l = String.concat "\n" (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) l) in
-      let base = counts 1 in
-      Alcotest.(check bool) "counts boots" true (List.mem_assoc "world.boot" base);
-      Alcotest.(check string) (name ^ " metrics at jobs=2") (show base) (show (counts 2))
+      Sim.Metrics.reset ();
+      Sim.Metrics.enabled := true;
+      Fun.protect
+        ~finally:(fun () ->
+          Sim.Metrics.enabled := false;
+          Sim.Metrics.reset ())
+        (fun () ->
+          ignore
+            (L.check_strong_stats ~max_nodes:2_000_000 ?max_depth:c.default_depth ~jobs ~reduce
+               prog);
+          Sim.Metrics.snapshot ())
+
+(* Under [--reduce] the simulator counters, automaton misses included,
+   do not depend on the worker count: the root world holds no fiber, so
+   whichever worker runs column 0 takes it, and the workers share one
+   automaton. *)
+let test_reduce_metrics_jobs name () =
+  let counts jobs = sim_counts name ~jobs ~reduce:true in
+  let show l = String.concat "\n" (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) l) in
+  let base = counts 1 in
+  Alcotest.(check bool) "counts boots" true (List.mem_assoc "world.boot" base);
+  Alcotest.(check string) (name ^ " metrics at jobs=2") (show base) (show (counts 2))
+
+(* A world built off the spine counts one [world.boot] whether it is
+   booted and replayed from the root or copied from an ancestor's
+   snapshot, so the count at one worker is the number of off-spine
+   worlds, however they are built.  ([slin check --stats] prints 150
+   more: the boots of its linearizability screen.) *)
+let test_boots_pinned (name, boots) () =
+  Alcotest.(check (option int))
+    (name ^ " world.boot at jobs=1")
+    (Some boots)
+    (List.assoc_opt "world.boot" (sim_counts name ~jobs:1 ~reduce:false))
 
 (* Two processes that talk through an OCaml [ref] outside the runtime:
    p0 writes register [x] and sets the flag; p1 reads [x], and reads [y]
@@ -640,6 +654,10 @@ let suite =
         (test_reduce_metrics_jobs "hw-queue-deep");
       Alcotest.test_case "reduce: metrics independent of jobs, hw-queue" `Slow
         (test_reduce_metrics_jobs "hw-queue");
+      Alcotest.test_case "world.boot pinned: agm-stack" `Slow
+        (test_boots_pinned ("agm-stack", 44_981));
+      Alcotest.test_case "world.boot pinned: cas-queue" `Slow
+        (test_boots_pinned ("cas-queue", 53_714));
       Alcotest.test_case "automaton: breach raises with no verdict" `Quick test_breach_detected;
       Alcotest.test_case "automaton: no driver fiber left" `Slow test_no_driver_left;
     ]

@@ -675,6 +675,71 @@ let prop_cached_raise =
          in
          cached_agrees prog (List.map actions lists)))
 
+(* A cached world copied mid-run is a world of its own: the original and
+   the copy go on with different action suffixes (the copy only once the
+   original has taken all of its own), and each must equal the private
+   world that replays its whole list.  Each must also pass [Sim.audit],
+   which replays the log the two share up to the copy, unless an action
+   released it (a private replay does not release). *)
+let copy_agrees (prog : _ Sim.program) (pre, da, db) =
+  let la = random_actions prog (pre @ da) and lb = random_actions prog (pre @ db) in
+  (* The lists agree up to [cut], so either continues the copied world. *)
+  let rec common n a b = match (a, b) with x :: a, y :: b when x = y -> common (n + 1) a b | _ -> n in
+  let cut = common 0 la lb in
+  let prefix = List.filteri (fun i _ -> i < cut) la in
+  let rest l = List.filteri (fun i _ -> i >= cut) l in
+  let auto = Sim.automaton prog in
+  let ok =
+    Fun.protect
+      ~finally:(fun () -> Sim.drop auto)
+      (fun () ->
+        let w = Sim.boot_cached auto in
+        let before = List.map (apply_action w) prefix in
+        let c = Sim.copy w in
+        let oa = before @ List.map (apply_action w) (rest la) in
+        let ob = before @ List.map (apply_action c) (rest lb) in
+        let replays actions outcomes cw =
+          let pw = Sim.run_schedule prog [] in
+          let expected = List.map (apply_action pw) actions in
+          let same = expected = outcomes && observe_world pw = observe_world cw in
+          Sim.release pw;
+          same
+          && (List.mem Release actions
+             || match Sim.audit cw with () -> true | exception Sim.Nondeterministic _ -> false)
+        in
+        let ok = replays la oa w && replays lb ob c in
+        Sim.release w;
+        Sim.release c;
+        ok)
+  in
+  ok && Sim.live_drivers () = 0
+
+let copy_programs =
+  Array.append
+    (Array.map
+       (fun (name, Registry.Checkable c) ->
+         (name, copy_agrees (Harness.program ~make:c.make ~workload:c.workload)))
+       registry)
+    [| ("memory probe", copy_agrees (memory_probe_program ())) |]
+
+let prop_copy =
+  let draws = QCheck.Gen.(list_size (int_bound 40) nat) in
+  let arb =
+    QCheck.make
+      ~print:(fun (i, (pre, da, db)) -> fst copy_programs.(i) ^ " " ^ print_lists [ pre; da; db ])
+      QCheck.Gen.(pair (int_bound (Array.length copy_programs - 1)) (triple draws draws draws))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"copied cached world = private world" ~count:300 arb
+       (fun (i, lists) -> snd copy_programs.(i) lists))
+
+let test_copy_private_raises () =
+  let w = Sim.run_schedule (race_program ()) [ 0 ] in
+  (match Sim.copy w with
+  | _ -> Alcotest.fail "a world with fibers cannot be copied"
+  | exception Invalid_argument _ -> ());
+  Sim.release w
+
 let test_cached_raise_pinned () =
   let prog = tas_limit_program () in
   let actions = List.map (fun p -> Step p) [ 0; 1; 0; 1; 2; 2; 2; 1; 1; 1 ] in
@@ -801,6 +866,8 @@ let suite =
     prop_cached_registry;
     prop_cached_memory;
     prop_cached_raise;
+    prop_copy;
+    ("copy of a private world raises", `Quick, test_copy_private_raises);
     ("cached raise pinned", `Quick, test_cached_raise_pinned);
     ("cached unnamed object", `Quick, test_cached_unnamed_object);
     ("cached transition after its driver's release", `Quick, test_cached_released_self);
