@@ -326,12 +326,17 @@ let run_check name max_nodes max_depth budget_ms budget_mb stats json_out trace_
       | json_sink ->
       let tracer = Option.map (fun _ -> Obs_trace.create ()) trace_out in
       (* Heartbeat for long checks: nodes so far and current rate, on
-         stderr so stdout stays machine-clean. *)
+         stderr so stdout stays machine-clean.  With more than one
+         worker the engine counts only the nodes of completed columns. *)
+      let counted =
+        if Steal_pool.effective_workers ~requested:jobs > 1 then "nodes in completed columns"
+        else "nodes explored"
+      in
       let on_progress ~nodes ~elapsed_ns =
         let rate =
           if elapsed_ns <= 0 then 0. else float_of_int nodes *. 1e9 /. float_of_int elapsed_ns
         in
-        Printf.eprintf "heartbeat: %d nodes explored, %.0f nodes/s\n%!" nodes rate
+        Printf.eprintf "heartbeat: %d %s, %.0f nodes/s\n%!" nodes counted rate
       in
       let on_progress = if stats then Some on_progress else None in
       let reports = start_reports (profile_out, coverage_out) in
@@ -690,8 +695,9 @@ let jobs_arg =
            SLIN_DOMAIN_CAP).  $(b,check) and $(b,experiment) split the strong-linearizability \
            game's subtrees by work stealing; $(b,fuzz) splits its runs, whose configurations \
            are drawn from the PRNG upfront.  The merge is deterministic: verdicts, witnesses, \
-           node counts, fuzz reports and experiment tables are identical for every $(docv) \
-           (the stderr heartbeat of $(b,check) is only emitted at $(docv)=1).")
+           node counts, fuzz reports and experiment tables are identical for every $(docv).  \
+           The stderr heartbeat of $(b,check --stats) counts every explored node at one \
+           worker and only the nodes of completed columns at more.")
 
 (* --profile-out and --coverage-out, as the pair [start_reports] takes. *)
 let reports_arg =

@@ -1031,8 +1031,8 @@ module Make (S : Spec.S) = struct
           | _ -> ( match interrupt with Some f when f () -> Some Budget_interrupt | _ -> None))
     in
     (* Anchor check of a fresh node at a stride depth, timed for the
-       profiler. *)
-    let anchor lane info w =
+       profiler; [alone] when it runs as a pool task of its own. *)
+    let anchor ?alone lane info w =
       let check () =
         cross_check info w;
         Sim.audit w
@@ -1042,7 +1042,7 @@ module Make (S : Spec.S) = struct
       | Some l ->
           let s = Obs.now_ns () in
           check ();
-          Prof.cross_checked l ~start_ns:s ~stop_ns:(Obs.now_ns ())
+          Prof.cross_checked ?alone l ~start_ns:s ~stop_ns:(Obs.now_ns ())
     in
     (* Every world of the run steps through one response automaton,
        shared by the workers and dropped (its driver fibers discontinued)
@@ -1213,6 +1213,23 @@ module Make (S : Spec.S) = struct
                 Prof.note_span l Prof.Steal ~start_ns:(Obs.now_ns () - dur_ns) ~dur_ns ())
       in
       let pool = Steal_pool.create ~workers:nworkers ?on_steal () in
+      (* The anchors below the root.  One worker checks them inline, in
+         its depth-first walk.  More workers audit a fresh node on an
+         uncounted copy of its world, as a task on the pool's shared
+         queue: audits are order-free and never discarded, and an idle
+         worker takes them before it steals speculative work (DESIGN
+         §14).  The pool runs until every audit has finished, and one
+         that raises stops the run like any task. *)
+      let audits = Atomic.make 0 in
+      let audit =
+        if nworkers = 1 then fun lane info w -> anchor lane info w
+        else fun _ info w ->
+          let w = Sim.copy w in
+          Atomic.incr audits;
+          Steal_pool.push_shared pool (fun worker ->
+              (try anchor ~alone:true (lane_for worker) info w with e -> note_error e);
+              Atomic.decr audits)
+      in
       (* Node budget.  A plain run charges every executed node to one
          run-wide count that starts at the root: at one worker that is
          exactly the verdict's count, and with more workers it also
@@ -1418,7 +1435,7 @@ module Make (S : Spec.S) = struct
                   extend_info ~fp ~slots:(slots_at depth) ~enabled:(intern_enabled (Sim.enabled w))
                     parent w
                 in
-                if depth mod stride = 0 then anchor lane info w;
+                if depth mod stride = 0 then audit lane info w;
                 (* Coverage is passive: one trace scan per fresh node, and
                    nothing it records feeds back into exploration. *)
                 (match cov with
@@ -1790,7 +1807,8 @@ module Make (S : Spec.S) = struct
             (fun c -> Steal_pool.push pool ~worker:(c mod nworkers) (column c))
             (List.rev unsolved));
       Steal_pool.run pool (fun w ->
-          Steal_pool.help_until pool ~worker:w (fun () -> Atomic.get remaining = 0));
+          Steal_pool.help_until pool ~worker:w (fun () ->
+              Atomic.get remaining = 0 && Atomic.get audits = 0));
       (match Atomic.get first_error with Some e -> raise e | None -> ());
       (* Deterministic merge: column order, strictly-deeper witness rule,
          stop at the first non-succeeding column.  [merged] counts the

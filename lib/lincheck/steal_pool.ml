@@ -6,7 +6,9 @@
    the hot path and a lock-free Chase–Lev deque would buy nothing
    measurable while costing the memory-model subtlety.  What matters for
    scaling is the policy — owner LIFO at the bottom, steal-half from the
-   top — not the queue's synchronization primitive. *)
+   top — not the queue's synchronization primitive.  The shared queue is
+   the same buffer used as a FIFO: any worker pushes at the bottom and
+   pops at the top. *)
 
 type deque = {
   lock : Mutex.t;
@@ -17,6 +19,7 @@ type deque = {
 
 type t = {
   deques : deque array;
+  shared : deque;  (* FIFO: pushed at the bottom, popped at the top *)
   rngs : int array;  (* per-worker xorshift victim-selection state *)
   on_steal : (thief:int -> victim:int -> stolen:int -> dur_ns:int -> unit) option;
 }
@@ -27,6 +30,7 @@ let create ~workers ?(seed = 0) ?on_steal () =
   let n = max 1 workers in
   {
     deques = Array.init n (fun _ -> new_deque ());
+    shared = new_deque ();
     (* xorshift states must be nonzero; mix the worker index in so the
        workers' victim streams differ even under the same seed *)
     rngs = Array.init n (fun w -> (seed * 0x9e3779b9) lxor ((w + 1) * 0x85ebca6b) lor 1);
@@ -46,13 +50,16 @@ let grow d =
   d.buf <- buf;
   d.top <- 0
 
-let push t ~worker task =
-  let d = t.deques.(worker) in
+let push_on d task =
   Mutex.lock d.lock;
   if d.size = Array.length d.buf then grow d;
   d.buf.((d.top + d.size) mod Array.length d.buf) <- Some task;
   d.size <- d.size + 1;
   Mutex.unlock d.lock
+
+let push t ~worker task = push_on t.deques.(worker) task
+
+let push_shared t task = push_on t.shared task
 
 let try_pop t ~worker =
   let d = t.deques.(worker) in
@@ -64,6 +71,23 @@ let try_pop t ~worker =
       let i = (d.top + d.size) mod Array.length d.buf in
       let task = d.buf.(i) in
       d.buf.(i) <- None;
+      task
+    end
+  in
+  Mutex.unlock d.lock;
+  r
+
+(* The oldest task of the shared queue. *)
+let try_pop_shared t =
+  let d = t.shared in
+  Mutex.lock d.lock;
+  let r =
+    if d.size = 0 then None
+    else begin
+      let task = d.buf.(d.top) in
+      d.buf.(d.top) <- None;
+      d.top <- (d.top + 1) mod Array.length d.buf;
+      d.size <- d.size - 1;
       task
     end
   in
@@ -136,7 +160,11 @@ let try_steal t ~thief =
   probe 0
 
 let help_until t ~worker done_ =
-  (* Escalating backoff on failed steal sweeps: spin briefly (work
+  (* Take order: own deque, shared queue, steal.  The own deque comes
+     first so a worker joining a fork runs its own children before
+     anything else; the shared queue before stealing, so an idle worker
+     drains order-free work before it takes speculative subtrees.
+     Escalating backoff on failed steal sweeps: spin briefly (work
      usually reappears within microseconds when a fork resolves), then
      start sleeping.  Pure spinning is catastrophic when domains
      outnumber cores — the spinners steal timeslices from the one
@@ -145,7 +173,9 @@ let help_until t ~worker done_ =
   let misses = ref 0 in
   let rec loop () =
     if not (done_ ()) then begin
-      (match try_pop t ~worker with
+      (match
+         match try_pop t ~worker with Some _ as r -> r | None -> try_pop_shared t
+       with
       | Some task ->
           misses := 0;
           task worker

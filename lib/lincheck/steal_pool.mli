@@ -10,10 +10,13 @@
 
     Tasks are [worker -> unit] closures: a task learns which worker is
     executing it so it can push follow-up work onto that worker's deque
-    and record profiler spans on that worker's lane.  Blocking joins are
-    cooperative: {!help_until} runs queued work (own deque first, then
-    steals) until the caller's predicate holds, so a worker waiting on
-    forked children is never idle while runnable work exists.
+    and record profiler spans on that worker's lane.  Besides the
+    deques, the pool has one shared FIFO queue ({!push_shared}) for
+    order-free work that any worker may run, such as [Lincheck]'s anchor
+    audits.  Blocking joins are cooperative: {!help_until} runs queued
+    work (own deque first, then the shared queue, then steals) until the
+    caller's predicate holds, so a worker waiting on forked children is
+    never idle while runnable work exists.
 
     The pool makes no determinism promises by itself — callers get
     determinism by merging task results in a canonical order (see
@@ -40,10 +43,18 @@ val push : t -> worker:int -> (int -> unit) -> unit
 (** Push a task on the bottom of [worker]'s deque.  Must be called from
     the domain currently acting as [worker]. *)
 
+val push_shared : t -> (int -> unit) -> unit
+(** Push a task on the bottom of the shared queue.  Any domain may call
+    it.  Workers take shared tasks oldest first, and each runs once. *)
+
 val help_until : t -> worker:int -> (unit -> bool) -> unit
 (** Run tasks as [worker] until [done_ ()] holds: pop the bottom of the
-    own deque; when empty, try to steal half of a random victim's deque;
-    when nothing is runnable, spin politely ([Domain.cpu_relax]).  The
+    own deque; when empty, take the oldest task of the shared queue;
+    when that is empty too, try to steal half of a random victim's
+    deque; when nothing is runnable, spin politely
+    ([Domain.cpu_relax]).  A worker at a fork point therefore runs its
+    own children before shared work, and an idle worker runs shared
+    work before it steals.  The
     predicate is re-checked between tasks, so it must eventually be made
     true by some task (typically an atomic join counter reaching 0). *)
 

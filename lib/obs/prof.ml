@@ -171,8 +171,12 @@ let end_span l =
       l.l_open <- None;
       note_span l ph ~label ~start_ns:start ~dur_ns:(Obs.now_ns () - start) ()
 
-let cross_checked l ~start_ns ~stop_ns =
+(* A cross-check that runs [alone], as a task of its own with no solve
+   span around it, is booked to [Solve] as well: the breakdown reports
+   solve minus cross-check, so the lane still partitions its time. *)
+let cross_checked ?(alone = false) l ~start_ns ~stop_ns =
   let dur = max 0 (stop_ns - start_ns) in
+  if alone then l.l_phase_ns.(phase_index Solve) <- l.l_phase_ns.(phase_index Solve) + dur;
   l.l_cross_checks <- l.l_cross_checks + 1;
   l.l_phase_ns.(phase_index Cross_check) <- l.l_phase_ns.(phase_index Cross_check) + dur;
   if dur >= long_cross_check_ns then

@@ -86,10 +86,14 @@ val note_span : lane -> phase -> ?label:string -> start_ns:int -> dur_ns:int -> 
 (** Record a span with explicit absolute times (tests; pre-measured
     sections). *)
 
-val cross_checked : lane -> start_ns:int -> stop_ns:int -> unit
+val cross_checked : ?alone:bool -> lane -> start_ns:int -> stop_ns:int -> unit
 (** One anchored cross-check replay: always accumulated into the lane's
     cross-check total; entered into the timeline only when it is long
-    (>= 100 us) — the "long anchored replay" case worth seeing. *)
+    (>= 100 us) — the "long anchored replay" case worth seeing.  By
+    default it is nested in a [Solve] span whose time already holds it;
+    with [~alone:true] (default false) it ran as a task of its own, and
+    its time is added to the lane's solve total too, so busy time
+    includes it. *)
 
 val fresh : lane -> depth:int -> unit
 (** One fresh node at [depth]: bumps the node count and the depth

@@ -2,8 +2,9 @@
    cross-checks, work-stealing subtree solving): the determinism
    contract — verdict, witness and every count identical across [jobs],
    [steal_grain] and [checkpoint_stride] — plus the heartbeat cadence,
-   the incremental node evaluation itself, and the adversary's twin
-   loops. *)
+   the incremental node evaluation itself, the adversary's twin loops,
+   the detector at one and two workers, and [Steal_pool]'s shared
+   queue. *)
 
 (* [effective_workers] caps [jobs] at the hardware parallelism, so on a
    single-core CI runner every jobs>1 case would silently collapse to
@@ -574,12 +575,107 @@ let breach_program : (Spec.Register.op, Spec.Register.resp) Sim.program =
                    Spec.Register.Value v))));
   }
 
-let test_breach_detected () =
+let test_breach_detected jobs () =
   let module L = Lincheck.Make (Spec.Register) in
-  (match L.check_strong_stats ~checkpoint_stride:1 breach_program with
+  (* At two workers the audits run as pool tasks, so the breach surfaces
+     once the pool has drained, not at the anchor. *)
+  (match L.check_strong_stats ~checkpoint_stride:1 ~jobs breach_program with
   | v, _ -> Alcotest.failf "a breach must raise, not yield %a" L.pp_verdict v
   | exception Sim.Nondeterministic _ -> ());
   Alcotest.(check int) "no driver fiber left" 0 (Sim.live_drivers ())
+
+(* Every anchored node is audited at any worker count.  Without
+   speculation (grain 0) two workers evaluate exactly the nodes one
+   worker does, so their profiles count the same anchors, however many
+   audits were still queued when the last column ended. *)
+let test_audits_all_run name () =
+  match Registry.find name with
+  | None -> Alcotest.failf "%s not registered" name
+  | Some (Registry.Checkable c) ->
+      let (module S) = c.spec in
+      let module L = Lincheck.Make (S) in
+      let prog = Harness.program ~make:c.make ~workload:c.workload in
+      let anchors jobs =
+        let p = Prof.create () in
+        ignore
+          (L.check_strong_stats ?max_depth:c.default_depth ~jobs ~steal_grain:0 ~profiler:p prog);
+        Prof.finish p;
+        let lanes =
+          Option.bind (Obs_json.member "lanes" (Prof.to_json p ~meta:[])) Obs_json.to_list
+        in
+        let checks l = Option.bind (Obs_json.member "cross_checks" l) Obs_json.to_int in
+        List.fold_left
+          (fun n l -> n + Option.value ~default:0 (checks l))
+          0 (Option.value ~default:[] lanes)
+      in
+      let one = anchors 1 in
+      Alcotest.(check bool) (name ^ ": anchors below the root") true (one > 1);
+      Alcotest.(check int) (name ^ ": anchors audited at jobs=2") one (anchors 2)
+
+(* ---------------- Steal_pool shared queue ----------------------------- *)
+
+(* A tree of tasks, seeded on the shared queue: each task of the first
+   [depth] generations pushes three children, on the shared queue and on
+   its worker's own deque alternately.  Every task runs exactly once,
+   and each worker's [help_until] returns only once all have finished. *)
+let test_shared_queue_once workers () =
+  let pool = Steal_pool.create ~workers () in
+  let depth = 4 and total = 121 (* 1 + 3 + 9 + 27 + 81 *) in
+  let runs = Array.init total (fun _ -> Atomic.make 0) in
+  let next = Atomic.make 0 and pending = Atomic.make 0 and finished = Atomic.make 0 in
+  let early = Atomic.make false in
+  let rec task gen w =
+    let id = Atomic.fetch_and_add next 1 in
+    Atomic.incr runs.(id);
+    if gen < depth then
+      for k = 0 to 2 do
+        Atomic.incr pending;
+        if k mod 2 = 0 then Steal_pool.push_shared pool (task (gen + 1))
+        else Steal_pool.push pool ~worker:w (task (gen + 1))
+      done;
+    Atomic.incr finished;
+    Atomic.decr pending
+  in
+  Atomic.incr pending;
+  Steal_pool.push_shared pool (task 0);
+  Steal_pool.run pool (fun w ->
+      Steal_pool.help_until pool ~worker:w (fun () -> Atomic.get pending = 0);
+      if Atomic.get finished <> total then Atomic.set early true);
+  Alcotest.(check int) "tasks run" total (Atomic.get next);
+  Alcotest.(check bool) "each task ran once" true
+    (Array.for_all (fun r -> Atomic.get r = 1) runs);
+  Alcotest.(check bool) "no worker returned before every task finished" false
+    (Atomic.get early)
+
+(* Take order, on worker 0 alone: its own deque (LIFO) first, then the
+   shared queue (FIFO), and a task a shared task pushes on the own deque
+   runs before the next shared task. *)
+let test_shared_queue_order workers () =
+  let pool = Steal_pool.create ~workers () in
+  let log = ref [] and pending = ref 0 in
+  let rec task name own_kids w =
+    log := name :: !log;
+    List.iter
+      (fun k ->
+        incr pending;
+        Steal_pool.push pool ~worker:w (task k []))
+      own_kids;
+    decr pending
+  in
+  let shared name own_kids =
+    incr pending;
+    Steal_pool.push_shared pool (task name own_kids)
+  in
+  let own name =
+    incr pending;
+    Steal_pool.push pool ~worker:0 (task name [])
+  in
+  shared "s1" [ "o3" ];
+  shared "s2" [];
+  own "o1";
+  own "o2";
+  Steal_pool.help_until pool ~worker:0 (fun () -> !pending = 0);
+  Alcotest.(check (list string)) "take order" [ "o2"; "o1"; "s1"; "o3"; "s2" ] (List.rev !log)
 
 (* Every check drops its automaton: no driver fiber stays suspended,
    whatever the verdict, the worker count or the game. *)
@@ -658,8 +754,24 @@ let suite =
         (test_boots_pinned ("agm-stack", 44_981));
       Alcotest.test_case "world.boot pinned: cas-queue" `Slow
         (test_boots_pinned ("cas-queue", 53_714));
-      Alcotest.test_case "automaton: breach raises with no verdict" `Quick test_breach_detected;
+      Alcotest.test_case "automaton: breach raises with no verdict" `Quick
+        (test_breach_detected 1);
+      Alcotest.test_case "automaton: breach raises with no verdict at jobs=2" `Quick
+        (test_breach_detected 2);
       Alcotest.test_case "automaton: no driver fiber left" `Slow test_no_driver_left;
+      Alcotest.test_case "audits: every anchor runs at jobs=2, set-repaired" `Quick
+        (test_audits_all_run "set-repaired");
     ]
+  @ List.concat_map
+      (fun n ->
+        [
+          Alcotest.test_case
+            (Printf.sprintf "steal pool: shared tasks run once, %d workers" n)
+            `Quick (test_shared_queue_once n);
+          Alcotest.test_case
+            (Printf.sprintf "steal pool: own deque before shared queue, %d workers" n)
+            `Quick (test_shared_queue_order n);
+        ])
+      [ 1; 2; 4 ]
 
 let () = Alcotest.run "engine" [ ("engine", suite) ]
