@@ -16,11 +16,10 @@
      node of the crash-free tree.  The game is still worth running: it
      mechanically cross-validates that equivalence (the checker's answer
      must match [Lincheck.check_strong]'s on every E1 construction) and
-     exercises the pending-forever histories crashes create.  The same
-     fact makes it cheap: a node after a crash has exactly the trace of
-     its crash-free {e twin} (its path with the crashes removed), so the
-     checker's engine, which solves this game as its crash alphabet,
-     builds it from the twin's evaluated node, not on a simulator world.
+     exercises the pending-forever histories crashes create.  The
+     checker's engine solves it as its crash alphabet: a crash is one
+     more move on a node's world, and the node it reaches shares its
+     parent's records, since it adds no trace event.
 
    - [Make(S).wait_free_bound] walks the whole crash-free schedule tree
      and reports the worst steps-per-operation over every complete

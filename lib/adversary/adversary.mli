@@ -61,10 +61,9 @@ module Make (S : Spec.S) : sig
 
       The checker's engine solves it, with crash moves as its extra
       alphabet ([Lincheck.Make(S).Internal.check_crashes]), at one
-      worker: each crash-free node derives from its parent in O(trace
-      delta), and a node after a crash is its crash-free twin's
-      evaluated node (the same path without the crashes has the
-      identical trace) with the crashed processes removed from the
+      worker: each node derives from its parent's in O(trace delta),
+      and a crash adds no trace event, so a crash child shares its
+      parent's records and loses only the crashed process from its
       enabled set.  Every [checkpoint_stride]-th (default 16, clamped
       to >= 1) tree level is re-derived from a full replay, crashes
       included, and compared — a pure cross-check, results are

@@ -644,7 +644,7 @@ module Make (S : Spec.S) = struct
 
   (* Extend [parent]'s evaluated state by the trace delta of [w], a world
      whose trace extends the parent node's (the child is the parent's
-     schedule plus steps; execution is deterministic, so this holds
+     schedule plus moves; execution is deterministic, so this holds
      whether [w] was stepped in place or rebuilt from scratch).
 
      Why existing rows survive: every event in the delta sits at a trace
@@ -943,25 +943,13 @@ module Make (S : Spec.S) = struct
      process it may crash one, at most [k] times per branch under
      [Some k].  Move [p < procs] steps [p] and move [procs + q] crashes
      [q], so a node's children are its enabled steps, then its crashes,
-     and its [kids] have [2 * procs] slots.  A crash adds no trace
-     event, so the node it reaches has exactly the history of its
-     crash-free {e twin}, the same path with the crashes removed, and
-     the twin's enabled set minus the crashed processes: it is built
-     from the twin's evaluated node and needs no world.  A node's twin
-     is threaded through [solve] as a link ([no_node] while the path has
-     no crash, the node being its own twin); a step below a crash reads
-     the twin's evaluated child.  That child exists: children are
-     solved steps first, a candidate's [List.for_all] stops at its first
-     failing child, and so a crash child is solved only after every step
-     child returned true under the same candidate, which has evaluated
-     every child of every node below it.  This needs the depth-first
-     walk of one worker that never discards a link, so the crash game
-     runs at one worker with no reduction, preemption bound or
-     checkpoint, the root keeps its columns' subtrees, and a missing
-     twin raises.  Only an anchor needs a world on a path with crashes;
-     it is built like any off-spine world, usually from the snapshot of
-     an ancestor (a crash child of an anchored node is its parent's
-     snapshot with one [Sim.crash]).  Crash games count no
+     and its [kids] have [2 * procs] slots.  A post-crash node is
+     evaluated like any other, from its world: a crash adds no trace
+     event, so [extend_info] shares every array with the parent and only
+     the enabled set changes.  [Internal.check_crashes] runs the crash
+     game at one worker with no reduction or preemption bound: the memo
+     key and the preemption state do not read the crashed set, and no
+     test pins a crash game at two workers.  Crash games count no
      [world.boot]. *)
   let game ~crashes ?(max_nodes = 200_000) ?max_depth ?budget_ms ?budget_heap_mb ?on_progress
       ?(progress_every = 10_000) ?(progress_every_ms = 1000) ?tracer ?profiler ?coverage
@@ -983,15 +971,6 @@ module Make (S : Spec.S) = struct
       if List.compare_length_with crashed crashes < 0 then
         enabled @ List.map (fun q -> procs + q) enabled
       else enabled
-    in
-    (* The twin of the child [m] of [node], whose own twin is [twin]. *)
-    let twin_of node twin m =
-      if m >= procs then if twin == no_node then node else twin
-      else if twin == no_node then no_node
-      else
-        let t = twin.kids.(m) in
-        if t == no_node then invalid_arg "Lincheck: crash-free twin not evaluated";
-        t
     in
     let crashed_of m crashed = if m >= procs then (m - procs) :: crashed else crashed in
     let reduce = reduce || reduce_check in
@@ -1049,7 +1028,6 @@ module Make (S : Spec.S) = struct
        when the run returns. *)
     let auto = Sim.automaton prog in
     let boot () = Sim.boot_cached ~count_boot auto in
-    let apply w m = if m < procs then Sim.step w m else Sim.crash w (m - procs) in
     (* [Sim.replay] of a move list, with a crash between runs of steps. *)
     let replay w moves =
       let rec go rev_steps = function
@@ -1079,11 +1057,6 @@ module Make (S : Spec.S) = struct
                 table.(m) <- l;
                 l
             | shared -> shared)
-    in
-    (* Whether some anchor depth lies below [depth], within the tree. *)
-    let anchor_below depth =
-      let next = ((depth / stride) + 1) * stride in
-      match max_depth with Some d -> next <= d | None -> true
     in
     let rec run ~nworkers =
       (* Heartbeat: only worker 0 beats, on its own fresh-node and
@@ -1261,8 +1234,8 @@ module Make (S : Spec.S) = struct
       let grain = if nworkers = 1 || reduce || ckpt then 0 else steal_grain in
       (* Run one subtree as the current task on [worker]: returns its
          outcome, counters and child links; never raises [Task_stop]. *)
-      let rec run_subtree ~spine ~base ~worker ~col ~guards path0 depth0 switches0 parent0 twin0
-          crashed0 lin0 states0 lid0 =
+      let rec run_subtree ~spine ~base ~worker ~col ~guards path0 depth0 switches0 parent0 crashed0
+          lin0 states0 lid0 =
         let k = Counters.create () in
         (* Only a kid task can be discarded, so only a kid task logs the
            links it creates ([own]) and keeps its counted kids' logs. *)
@@ -1355,14 +1328,10 @@ module Make (S : Spec.S) = struct
         (* Only nodes at or below [path0] count: the slots of the node
            above are filled by sibling tasks, concurrently, so reading
            them would make the choice depend on timing. *)
-        let wants_snapshot (node : node_info) m depth ncrashed =
-          let open_slot q = q <> m && node.kids.(q) == no_node in
+        let wants_snapshot (node : node_info) m depth crashed =
           depth >= depth0
           && Array.length node.kids > 0
-          && (List.exists open_slot node.enabled
-             || ncrashed < crashes
-                && anchor_below depth
-                && List.exists (fun q -> open_slot (procs + q)) node.enabled)
+          && List.exists (fun q -> q <> m && node.kids.(q) == no_node) (moves node.enabled crashed)
         in
         let rebuild path depth =
           let rec find tl td moves = function
@@ -1386,19 +1355,21 @@ module Make (S : Spec.S) = struct
               w
         in
         (* The world at [path] (at [depth], below [parent], crashing
-           [crashed]), which becomes the spine. *)
+           [crashed]), which becomes the spine.  Only a step descends the
+           spine in place: a node's crash children follow its step
+           children, so the spine has left the node before a crash child
+           is built, which [rebuild] makes from the node's snapshot. *)
         let world_at path depth (parent : node_info) crashed =
           match !ev_world with
           (* Same node re-requested (the reduction layer probes the world
              for its fingerprint before deciding whether to explore): the
              spine already sits there. *)
           | Some w when path == !ev_path -> w
-          | Some w when List.tl path == !ev_path ->
+          | Some w when List.tl path == !ev_path && List.hd path < procs ->
               let m = List.hd path in
-              let ncrashed = List.length crashed - if m >= procs then 1 else 0 in
-              if wants_snapshot parent m (depth - 1) ncrashed then
+              if wants_snapshot parent m (depth - 1) crashed then
                 snaps := (depth - 1, !ev_path, Sim.copy w) :: !snaps;
-              apply w m;
+              Sim.step w m;
               ev_path := path;
               w
           | _ ->
@@ -1408,9 +1379,8 @@ module Make (S : Spec.S) = struct
               w
         in
         (* The node at [path]: its parent's [kids] slot, or evaluated now
-           (with fingerprint [fp]) and linked there.  After a crash it is
-           built from its [twin], without [crashed]. *)
-        let node_data path depth fp (parent : node_info) twin crashed =
+           (with fingerprint [fp]) and linked there. *)
+        let node_data path depth fp (parent : node_info) crashed =
           let p = List.hd path in
           let cached = parent.kids.(p) in
           if cached != no_node then begin
@@ -1428,42 +1398,21 @@ module Make (S : Spec.S) = struct
             Counters.note_depth k depth;
             if live_per_node then Atomic.incr live;
             tick ~fresh:true ~frontier:k.frontier;
+            let w = world_at path depth parent crashed in
             let info =
-              if twin == no_node then begin
-                let w = world_at path depth parent crashed in
-                let info =
-                  extend_info ~fp ~slots:(slots_at depth) ~enabled:(intern_enabled (Sim.enabled w))
-                    parent w
-                in
-                if depth mod stride = 0 then audit lane info w;
-                (* Coverage is passive: one trace scan per fresh node, and
-                   nothing it records feeds back into exploration. *)
-                (match cov with
-                | Some sh ->
-                    let branching =
-                      match max_depth with
-                      | Some d when depth >= d -> 0
-                      | _ -> List.length info.enabled
-                    in
-                    Coverage.observe_node sh ~depth ~branching (Sim.trace w)
-                | None -> ());
-                info
-              end
-              else begin
-                let enabled =
-                  intern_enabled (List.filter (fun q -> not (List.mem q crashed)) twin.enabled)
-                in
-                let kids = kid_slots ~slots:(slots_at depth) enabled in
-                let info = { twin with enabled; kids } in
-                if depth mod stride = 0 then begin
-                  let w = world_at path depth parent crashed in
-                  anchor lane info w;
-                  if Sim.enabled w <> enabled then
-                    invalid_arg "Lincheck: post-crash enabled set diverged from full replay"
-                end;
-                info
-              end
+              extend_info ~fp ~slots:(slots_at depth) ~enabled:(intern_enabled (Sim.enabled w))
+                parent w
             in
+            if depth mod stride = 0 then audit lane info w;
+            (* Coverage is passive: one trace scan per fresh node, and
+               nothing it records feeds back into exploration. *)
+            (match cov with
+            | Some sh ->
+                let branching =
+                  match max_depth with Some d when depth >= d -> 0 | _ -> List.length info.enabled
+                in
+                Coverage.observe_node sh ~depth ~branching (Sim.trace w)
+            | None -> ());
             parent.kids.(p) <- info;
             if logged then own := (parent, p) :: !own;
             info
@@ -1471,12 +1420,11 @@ module Make (S : Spec.S) = struct
         in
         (* [path] is kept reversed for cheap extension; [depth] is its
            length; [switches] the preemptions charged so far; [parent]
-           the parent node's evaluated state; [twin] the node's
-           crash-free twin ([no_node] while [path] holds no crash) and
-           [crashed] the processes [path] crashes; [lin] the inherited
-           candidate, [states] the spec state set after it (valid at
-           [parent]) and [lid] its interned id (0 unless reduced). *)
-        let rec solve path depth switches parent twin crashed (lin : linearization) states lid =
+           the parent node's evaluated state; [crashed] the processes
+           [path] crashes; [lin] the inherited candidate, [states] the
+           spec state set after it (valid at [parent]) and [lid] its
+           interned id (0 unless reduced). *)
+        let rec solve path depth switches parent crashed (lin : linearization) states lid =
           if depth > k.frontier then k.frontier <- depth;
           match memo with
           | Some m -> (
@@ -1505,9 +1453,9 @@ module Make (S : Spec.S) = struct
                   (* Debug cross-validation: re-explore the twin subtree
                      and insist commuting steps really did yield an
                      isomorphic (same-verdict) subtree. *)
-                  let info = node_data path depth fp parent twin crashed in
+                  let info = node_data path depth fp parent crashed in
                   let res' =
-                    solve_node info parent path depth switches twin crashed lin states lid
+                    solve_node info parent path depth switches crashed lin states lid
                   in
                   if res' <> res then
                     invalid_arg
@@ -1515,17 +1463,16 @@ module Make (S : Spec.S) = struct
                        disagree";
                   res'
               | None ->
-                  let info = node_data path depth fp parent twin crashed in
+                  let info = node_data path depth fp parent crashed in
                   let res =
-                    solve_node info parent path depth switches twin crashed lin states lid
+                    solve_node info parent path depth switches crashed lin states lid
                   in
                   Memo.replace m mkey res;
                   res)
           | None ->
-              let info = node_data path depth parent.fp parent twin crashed in
-              solve_node info parent path depth switches twin crashed lin states lid
-        and solve_node info parent path depth switches twin crashed (lin : linearization) states lid
-            =
+              let info = node_data path depth parent.fp parent crashed in
+              solve_node info parent path depth switches crashed lin states lid
+        and solve_node info parent path depth switches crashed (lin : linearization) states lid =
           let children =
             match max_depth with
             | Some d when depth >= d -> []
@@ -1560,7 +1507,7 @@ module Make (S : Spec.S) = struct
                      If even the empty prefix admits none, the execution
                      itself is not linearizable. *)
                   k.dead <- k.dead + 1;
-                  if not (root_linearizable (if twin == no_node then info else twin)) then
+                  if not (root_linearizable info) then
                     raise (Task_stop (T_notlin (List.rev path)));
                   Counters.log_witness k depth (List.rev path);
                   last_fail := Prof.Kill_dead_end;
@@ -1595,7 +1542,7 @@ module Make (S : Spec.S) = struct
                               List.for_all
                                 (fun p ->
                                   solve (p :: path) (depth + 1) (switches_to p) info
-                                    (twin_of info twin p) (crashed_of p crashed) cand cstates cid)
+                                    (crashed_of p crashed) cand cstates cid)
                                 children
                             then true
                             else begin
@@ -1604,13 +1551,12 @@ module Make (S : Spec.S) = struct
                             end
                       in
                       try_candidates [] candidates
-                    else fork_candidates info path depth switches_to children candidates
+                    else fork_candidates info path depth switches_to crashed children candidates
                   end)
         (* Fork point: each candidate's children go out as tasks, joined
            by canonical resolution.  Reduced runs never fork, so the kid
-           tasks carry no linearization id, and nor do crash games, so
-           they carry no twin. *)
-        and fork_candidates info path depth switches_to kids candidates =
+           tasks carry no linearization id. *)
+        and fork_candidates info path depth switches_to crashed kids candidates =
           let kid_arr = Array.of_list kids in
           let nkids = Array.length kid_arr in
           (* The world at this node, when one is at hand, is every kid
@@ -1638,7 +1584,8 @@ module Make (S : Spec.S) = struct
                      let out, kc, links =
                        run_subtree ~spine:None ~base ~worker:w ~col
                          ~guards:((group, i) :: guards)
-                         (p :: path) (depth + 1) (switches_to p) info no_node [] cand cstates 0
+                         (p :: path) (depth + 1) (switches_to p) info (crashed_of p crashed) cand
+                         cstates 0
                      in
                      slot.r_ctr <- Some kc;
                      slot.r_links <- links;
@@ -1710,7 +1657,7 @@ module Make (S : Spec.S) = struct
         let out =
           match
             poll ();
-            solve path0 depth0 switches0 parent0 twin0 crashed0 lin0 states0 lid0
+            solve path0 depth0 switches0 parent0 crashed0 lin0 states0 lid0
           with
           | true -> T_ok
           | false -> T_fail (!last_fail, !last_ev)
@@ -1737,10 +1684,9 @@ module Make (S : Spec.S) = struct
           let spine = if c = 0 then Some w0 else None in
           let out, k, _ =
             run_subtree ~spine ~base:None ~worker:w ~col:c ~guards:[] [ p ] 1 0 root_info
-              (twin_of root_info no_node p) (crashed_of p []) [] [ S.init ] 0
+              (crashed_of p []) [] [ S.init ] 0
           in
-          (* Crash columns read the step columns' subtrees as twins. *)
-          if crashes = 0 then root_info.kids.(p) <- no_node;
+          root_info.kids.(p) <- no_node;
           let outcome =
             match out with
             | T_ok -> Col_ok

@@ -108,9 +108,9 @@ let registry_agrees_with_reference ?(crashes = 0) ?(depths = reference_depths) n
       | None -> ()
       | Some e -> Alcotest.failf "%s: %s" name e)
 
-(* The crash game at one crash per branch, at the object's default
-   depth, against the reference: the registry objects whose
-   crash-extended tree the reference solves within about a second, both
+(* The crash game at one and at two crashes per branch, at the object's
+   default depth, against the reference: the registry objects whose
+   two-crash tree the reference solves within about a second, both
    those the paper proves strongly linearizable and refuted baselines. *)
 let crash_reference_objects =
   [
@@ -195,22 +195,25 @@ let small_seed rng =
   in
   draw ()
 
-let reference_differential =
+(* [count] random programs against the reference at [crashes] crashes
+   per branch.  On a 2-core x86 host, 1,000 cases at one crash take
+   about 15 s and 150 cases at two crashes about 3 s. *)
+let reference_differential name ~crashes ~count =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"reference solver = engine and crash game on random programs"
-       ~count:1000
+    (QCheck.Test.make ~name ~count
        (QCheck.make ~print:(fun seed -> show_program (tiny_program seed)) small_seed)
        (fun seed ->
          let (Registry.Checkable c as obj) = tiny_program seed in
-         match reference_disagreement ?max_depth:c.default_depth ~crashes:1 obj with
+         match reference_disagreement ?max_depth:c.default_depth ~crashes obj with
          | None -> true
          | Some e -> QCheck.Test.fail_report e))
 
 (* Exact crash-game answers: the whole verdict string, node count and
    action witness included, at one and two crashes per branch.  How a
-   node is evaluated (from a world or from its crash-free twin) must
-   not move any of them.  hw-queue runs at E7's depth 18, once under a
-   budget that trips and once under E7's 400k budget. *)
+   node's world is built (stepped on the spine, copied from a snapshot
+   or replayed from the root) must not move any of them.  hw-queue runs
+   at E7's depth 18, once under a budget that trips and once under
+   E7's 400k budget. *)
 let crash_pins =
   [
     ("faa-max", 1, None, None, "strongly linearizable under crashes (2513 nodes explored)");
@@ -245,9 +248,9 @@ let crash_game_pinned ?checkpoint_stride (name, crashes, depth, max_nodes, expec
         (Format.asprintf "%a" A.pp_crash_verdict
            (A.check_strong_crashes ?max_nodes ?max_depth ?checkpoint_stride ~crashes prog))
 
-(* The same answers with every node anchored: each post-crash node is
-   replayed with its crashes, audited against a private world
-   ([Sim.audit]) and its enabled set compared. *)
+(* The same answers with every node anchored: each node's records are
+   recomputed from its trace, and its world, crashes included, is
+   audited against a private replay ([Sim.audit]). *)
 let stride_one_pins =
   List.filter
     (fun (name, _, _, _, _) -> List.mem name [ "faa-max"; "set"; "mwmr-register" ])
@@ -431,7 +434,10 @@ let suite =
     ("crash game agrees: faa-max", `Quick, crash_game_agrees "faa-max");
     ("crash game agrees: mwmr-register", `Quick, crash_game_agrees "mwmr-register");
     ("crash game agrees: tournament-ts", `Quick, crash_game_agrees "tournament-ts");
-    reference_differential;
+    reference_differential "reference solver = engine and crash game on random programs"
+      ~crashes:1 ~count:1000;
+    reference_differential "reference solver = engine and crash game on random programs, crashes=2"
+      ~crashes:2 ~count:150;
   ]
   @ List.map
       (fun ((name, crashes, _, max_nodes, _) as pin) ->
@@ -466,11 +472,14 @@ let suite =
     ("budget: wall clock", `Quick, test_budget_wall);
     ("budget: crash game", `Quick, test_crash_game_budget);
   ]
-  @ List.map
+  @ List.concat_map
       (fun name ->
-        ( Printf.sprintf "crash game = reference: %s crashes=1" name,
-          `Quick,
-          registry_agrees_with_reference ~crashes:1 ~depths:[] name ))
+        List.map
+          (fun crashes ->
+            ( Printf.sprintf "crash game = reference: %s crashes=%d" name crashes,
+              `Quick,
+              registry_agrees_with_reference ~crashes ~depths:[] name ))
+          [ 1; 2 ])
       crash_reference_objects
 
 let () = Alcotest.run "adversary" [ ("adversary", suite) ]

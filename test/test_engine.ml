@@ -2,7 +2,7 @@
    cross-checks, work-stealing subtree solving): the determinism
    contract — verdict, witness and every count identical across [jobs],
    [steal_grain] and [checkpoint_stride] — plus the heartbeat cadence,
-   the incremental node evaluation itself, the adversary's twin loops,
+   the incremental node evaluation itself, the adversary's crash game,
    the detector at one and two workers, and [Steal_pool]'s shared
    queue. *)
 
@@ -431,12 +431,13 @@ let test_discarded_speculation () =
       Alcotest.(check string) (Printf.sprintf "counts at jobs=%d" jobs) base (show jobs))
     [ 2; 4 ]
 
-(* ---------------- adversary twins ------------------------------------- *)
+(* ---------------- adversary crash game -------------------------------- *)
 
-(* The crash game shares the incremental engine and builds post-crash
-   nodes from their crash-free twins; its verdict must be identical for
-   every anchor stride.  At stride 1 every node, twin-built ones
-   included, is replayed with its crashes and compared. *)
+(* The crash game shares the incremental engine: a post-crash node is
+   evaluated from its world like any other.  Its verdict must be
+   identical for every anchor stride.  At stride 1 every node,
+   post-crash ones included, is audited against a private replay of its
+   moves, crashes included. *)
 let test_crash_game_stride (name, crashes) () =
   match Registry.find name with
   | None -> Alcotest.failf "%s not registered" name
